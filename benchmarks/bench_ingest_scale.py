@@ -22,7 +22,8 @@ Before any number is trusted, tiers up to 100k nodes are verified
 bit-identical against the dict reference: the dict-free CSR arrays must
 equal ``from_network(table.to_network())`` element-for-element, and
 sampled point-to-point queries through the kernel arena must reproduce
-the dict Dijkstra's distances, predecessors, and settled counts exactly.
+the dict Dijkstra oracle's distances, predecessors, and settled counts
+exactly.
 The env-gated 1M tier skips the dict reference (building it would defeat
 the memory story being measured) and sanity-checks query results instead.
 
@@ -46,11 +47,11 @@ import time
 import pytest
 
 from repro.network.algorithms import kernel
-from repro.network.algorithms.dijkstra import dijkstra_search
 from repro.network.csr import CSRGraph
 from repro.network.ingest import ColumnarNetwork, open_table
 
 from conftest import write_json_report, write_report
+from oracles.dijkstra import dijkstra_search
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -215,10 +216,9 @@ def _run_phase(script: str, *args: str) -> dict:
 
 
 def _verify_against_dict(table, num_pairs: int) -> int:
-    """CSR arrays and sampled p2p queries must match the dict path exactly."""
+    """CSR arrays and sampled p2p queries must match the dict oracle exactly."""
     csr = ColumnarNetwork.from_table(table).csr_snapshot()
     reference = table.to_network()
-    assert reference.csr_snapshot() is None  # dict path, not the kernel
     ref_csr = CSRGraph.from_network(reference)
     for field in (
         "ids",

@@ -24,6 +24,10 @@ import pytest
 from repro.experiments import ExperimentConfig, scale_from_env
 from repro.version import __version__
 
+#: The reference implementations the benchmarks time production against
+#: (the dict Dijkstra, the scalar trace replay) live in ``tests/oracles/``.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 #: Default destination of the machine-readable ``BENCH_*.json`` reports:
 #: the repository root, so the perf trajectory is versioned next to the

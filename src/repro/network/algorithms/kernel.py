@@ -1,18 +1,18 @@
 """Array-based shortest path kernel over :class:`~repro.network.csr.CSRGraph`.
 
-The dict Dijkstra in :mod:`repro.network.algorithms.dijkstra` pays a hash
-lookup per distance read, a hash store per relaxation and a set probe per
-pop.  This kernel runs the same algorithm over flat int-indexed buffers --
-one list index per operation -- and, when ``numpy``/``scipy`` are installed,
-routes *full* single-source sweeps through ``scipy.sparse.csgraph.dijkstra``
-(a compiled CSR Dijkstra) with an exact pure-Python/numpy reconstruction of
-everything the dict implementation reports.
+A textbook dict Dijkstra pays a hash lookup per distance read, a hash
+store per relaxation and a set probe per pop.  This kernel runs the same
+algorithm over flat int-indexed buffers -- one list index per operation --
+and, when ``scipy`` is installed, routes *full* single-source sweeps through
+``scipy.sparse.csgraph.dijkstra`` (a compiled CSR Dijkstra) with an exact
+numpy reconstruction of everything the dict loop reports.
 
 **Bit-identity contract.**  Every search result is bit-identical to the
-dict implementation's: identical IEEE-754 distance values, identical
-predecessor choices on equal-distance ties, identical settled counts, and
-an identical node discovery order (the dict implementation's ``distances``
-insertion order).  Two mechanisms deliver this:
+dict loop's (kept as the test oracle ``tests/oracles/dijkstra.py``):
+identical IEEE-754 distance values, identical predecessor choices on
+equal-distance ties, identical settled counts, and an identical node
+discovery order (the dict loop's ``distances`` insertion order).  Two
+mechanisms deliver this:
 
 * Early-terminated and masked searches (:meth:`KernelArena.point_to_point`,
   :meth:`KernelArena.multi_target`) run a **faithful simulation** of the
@@ -42,6 +42,8 @@ import weakref
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.network.csr import CSRGraph
 
 __all__ = [
@@ -56,35 +58,18 @@ __all__ = [
 ]
 
 try:  # pragma: no cover - exercised implicitly by whichever env runs the suite
-    import numpy as _np
     from scipy.sparse import csr_matrix as _csr_matrix
     from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
     HAVE_ACCELERATOR = True
 except ImportError:  # pragma: no cover
-    _np = None
     HAVE_ACCELERATOR = False
-
-#: Module-level switch (primarily for tests and A/B benchmarks): set to
-#: ``False`` to force every search onto the faithful pure-Python loop even
-#: when scipy is installed.
-USE_ACCELERATOR = True
 
 _INF = float("inf")
 
 #: Batched scipy sweeps are chunked so the dense ``sources x nodes``
 #: distance matrix stays bounded (~8 MB of float64 per chunk at 1M nodes).
 _BATCH_CHUNK = 64
-
-
-def numpy_or_none():
-    """The ``numpy`` module when the accelerator is importable *and* enabled.
-
-    Call sites with a vectorized fast path (e.g. ArcFlag's flag
-    construction) use this so their gating stays consistent with the
-    kernel's own -- flipping :data:`USE_ACCELERATOR` affects both.
-    """
-    return _np if (HAVE_ACCELERATOR and USE_ACCELERATOR) else None
 
 
 class KernelResult:
@@ -402,7 +387,7 @@ class KernelArena:
     # Accelerator plumbing
     # ------------------------------------------------------------------
     def _accel(self) -> Optional[_Accel]:
-        if not (HAVE_ACCELERATOR and USE_ACCELERATOR):
+        if not HAVE_ACCELERATOR:
             return None
         accel = self.csr._accel
         if accel is None:
@@ -842,11 +827,6 @@ def arena_for(csr: CSRGraph) -> KernelArena:
 # ----------------------------------------------------------------------
 # Network-level conveniences
 # ----------------------------------------------------------------------
-def _network_arena(network) -> Optional[KernelArena]:
-    csr = network.csr_snapshot()
-    return None if csr is None else arena_for(csr)
-
-
 def sssp(network, source: int, need_predecessors: bool = True, reverse: bool = False):
     """Full single-source sweep over ``network``'s snapshot (built if absent)."""
     return arena_for(network.ensure_csr()).sssp(
@@ -871,17 +851,14 @@ def many_to_many(
 def masked_shortest_path(network, source: int, target: int, allowed: Iterable[int]):
     """Point-to-point search restricted to ``allowed``, as a ``PathResult``.
 
-    Returns ``None`` when the network has no fresh snapshot (the caller
-    falls back to the reference subgraph search); otherwise the result --
-    distance, path, settled count -- is bit-identical to running
+    Runs over the network's snapshot (compiled if absent or stale).  The
+    result -- distance, path, settled count -- is bit-identical to running
     :func:`~repro.network.algorithms.dijkstra.shortest_path` on
     ``network.subgraph(allowed)``.
     """
     from repro.network.algorithms.paths import PathResult
 
-    arena = _network_arena(network)
-    if arena is None:
-        return None
+    arena = arena_for(network.ensure_csr())
     result = arena.point_to_point(source, target, allowed=allowed)
     distance = result.distance_to(target)
     path = result.path_to(target) if distance != _INF else []

@@ -31,6 +31,8 @@ from array import array
 from collections.abc import Mapping as _MappingABC
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["CSRGraph", "ImmutableSnapshotError"]
 
 
@@ -98,14 +100,10 @@ def _index_map(ids: Sequence[int]):
 
 
 def _has_nonpositive(weights) -> bool:
-    """Whether any edge weight is ``<= 0`` (numpy-assisted when available)."""
+    """Whether any edge weight is ``<= 0``."""
     if not len(weights):
         return False
-    try:
-        import numpy
-    except ImportError:
-        return min(weights) <= 0.0
-    return bool(numpy.frombuffer(weights, dtype=numpy.float64).min() <= 0.0)
+    return bool(np.frombuffer(weights, dtype=np.float64).min() <= 0.0)
 
 
 class CSRGraph:
@@ -325,8 +323,6 @@ class CSRGraph:
         importers define as input-file order -- the same order a dict
         network built row-by-row would hold in its adjacency lists.
         """
-        import numpy as np
-
         id_chunks = [np.asarray(ids, dtype=np.int64) for ids, _, _ in table.iter_node_chunks()]
         ids_np = (
             np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)

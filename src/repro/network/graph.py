@@ -516,8 +516,8 @@ class RoadNetwork:
         the snapshot outright (index maps and spans change), while
         :meth:`update_edge_weight` patches it in place and re-keys it, so a
         weight-only update stream never pays a recompile.  The shortest path
-        entry points in :mod:`repro.network.algorithms.dijkstra` dispatch to
-        the array kernel exactly when this returns a snapshot.
+        entry points go through :meth:`ensure_csr`, which compiles a fresh
+        snapshot whenever this returns ``None``.
         """
         if self._csr is not None and self._csr_fingerprint == self.fingerprint():
             return self._csr

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro import air
+from repro.air import registry
+from repro.engine import AirSystem
 from repro.experiments import (
     ExperimentConfig,
     QueryWorkload,
-    build_scheme,
-    compare_methods,
     method_applicability,
     report,
     run_workload,
@@ -65,12 +66,14 @@ class TestWorkload:
 class TestRunner:
     def test_build_scheme_for_every_method(self, medium_network, config):
         for method in ["DJ", "NR", "EB", "LD", "AF"]:
-            scheme = build_scheme(method, medium_network, config)
+            scheme = air.create(
+                method, medium_network, **registry.params_from_config(method, config)
+            )
             assert scheme.short_name == method
 
     def test_unknown_method_rejected(self, medium_network, config):
         with pytest.raises(ValueError):
-            build_scheme("XYZ", medium_network, config)
+            air.create("XYZ", medium_network, **registry.params_from_config("XYZ", config))
 
     def test_run_workload_has_no_mismatches(self, nr_scheme, workload, config):
         run = run_workload(nr_scheme, list(workload)[:5], config)
@@ -79,14 +82,14 @@ class TestRunner:
         assert run.mean.tuning_time_packets > 0
 
     def test_compare_methods_produces_one_run_per_method(self, medium_network, workload, config):
-        runs = compare_methods(["DJ", "NR"], medium_network, workload, config)
+        runs = AirSystem(medium_network, config=config).compare(["DJ", "NR"], workload)
         assert set(runs) == {"DJ", "NR"}
         for run in runs.values():
             assert run.mismatches == 0
 
     def test_nr_beats_dijkstra_on_tuning(self, medium_network, workload, config):
         """The paper's headline result at any scale."""
-        runs = compare_methods(["DJ", "NR"], medium_network, workload, config)
+        runs = AirSystem(medium_network, config=config).compare(["DJ", "NR"], workload)
         assert runs["NR"].mean.tuning_time_packets < runs["DJ"].mean.tuning_time_packets
         assert runs["NR"].mean.peak_memory_bytes < runs["DJ"].mean.peak_memory_bytes
 

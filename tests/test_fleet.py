@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.broadcast.channel import ClientSession
-from repro.broadcast.replay import RecordingSession, replay_trace
+from repro.broadcast.replay import RecordingSession
 from repro.engine import AirSystem
 from repro.experiments import (
     ExperimentConfig,
@@ -16,6 +16,8 @@ from repro.experiments import (
 )
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.network.algorithms.dijkstra import shortest_path
+
+from oracles.replay import replay_trace
 
 
 @pytest.fixture(scope="module")

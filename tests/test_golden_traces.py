@@ -28,9 +28,10 @@ import pytest
 
 from repro import air
 from repro.broadcast.replay import RecordingSession
-from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 from repro.network.generators import GeneratorConfig, generate_road_network
+
+from oracles.dijkstra import shortest_path
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures" / "golden_traces"
 

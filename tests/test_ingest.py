@@ -19,7 +19,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine.system import AirSystem
 from repro.network.algorithms import kernel
-from repro.network.algorithms.dijkstra import dijkstra_distances, dijkstra_search
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.ingest import (
@@ -30,6 +29,8 @@ from repro.network.ingest import (
     open_table,
     parquet_available,
 )
+
+from oracles.dijkstra import dijkstra_distances, dijkstra_search
 
 TINY_GR = """\
 c tiny five-node network

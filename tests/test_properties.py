@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from repro.air.packing import RowMajorCellPacking, SquareCellPacking
 from repro.broadcast.packet import PACKET_PAYLOAD_BYTES, Segment, SegmentKind, packets_for_bytes
 from repro.broadcast.cycle import BroadcastCycle
-from repro.network.algorithms.bidirectional import bidirectional_dijkstra
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import KDTreePartitioner
 from repro.spatial.hilbert import hilbert_index, hilbert_point
+
+from oracles import dijkstra as oracle
 
 
 # ----------------------------------------------------------------------
@@ -46,11 +47,20 @@ class TestShortestPathProperties:
     @given(road_networks(), st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_dijkstra_agrees_with_bidirectional(self, network, data):
+        """The kernel-backed ``shortest_path`` against an independent search.
+
+        The independent implementation is the dict Dijkstra oracle; the
+        kernel must match it bit for bit, path and settled count included.
+        """
         source = data.draw(st.integers(min_value=0, max_value=network.num_nodes - 1))
         target = data.draw(st.integers(min_value=0, max_value=network.num_nodes - 1))
-        forward = shortest_path(network, source, target)
-        both_ways = bidirectional_dijkstra(network, source, target)
-        assert math.isclose(forward.distance, both_ways.distance, rel_tol=1e-9, abs_tol=1e-9)
+        got = shortest_path(network, source, target)
+        want = oracle.shortest_path(network, source, target)
+        assert (got.distance, got.path, got.settled) == (
+            want.distance,
+            want.path,
+            want.settled,
+        )
 
     @given(road_networks(), st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

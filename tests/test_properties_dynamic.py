@@ -27,10 +27,10 @@ import pytest
 
 from repro import air
 from repro.engine import AirSystem
-from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 from repro.network.graph import RoadNetwork
 
+from oracles.dijkstra import shortest_path
 from test_properties_fleet import SMALL_PARAMS, random_network
 
 SEEDS = [3, 17]

@@ -29,10 +29,11 @@ import pytest
 
 from repro import air
 from repro.fleet import simulate_fleet
-from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 from repro.network.graph import RoadNetwork
 from repro.experiments import fleet_uniform_trickle
+
+from oracles.dijkstra import shortest_path
 
 #: Small per-scheme parameters suited to ~20-node random networks.
 SMALL_PARAMS: Dict[str, Dict[str, int]] = {

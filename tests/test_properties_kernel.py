@@ -1,13 +1,14 @@
 """Property suite for the CSR snapshot layer and the array SP kernel.
 
 The contract under test (see ``docs/api.md``): with a fresh snapshot, every
-kernel search -- and therefore every dispatched ``dijkstra_*`` call -- is
-**bit-identical** to the dict reference implementation: same IEEE-754
-distance values, same predecessor choices on equal-distance ties, same
-settled counts, and the same ``distances``/``predecessors`` dict insertion
-order.  That must hold on static networks, after random weight-update
-streams (in-place snapshot patching), through the pure-Python fallback, and
-for the masked search that replaced the EB/NR clients' per-query subgraphs.
+kernel search -- and therefore every ``dijkstra_*`` call -- is
+**bit-identical** to the dict Dijkstra oracle (``oracles.dijkstra``): same
+IEEE-754 distance values, same predecessor choices on equal-distance ties,
+same settled counts, and the same ``distances``/``predecessors`` dict
+insertion order.  That must hold on static networks, after random
+weight-update streams (in-place snapshot patching), with and without the
+scipy accelerator, and for the masked search that replaced the EB/NR
+clients' per-query subgraphs.
 """
 
 import random
@@ -29,15 +30,22 @@ from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.graph import RoadNetwork, build_network
 from repro.partitioning.kdtree import build_kdtree_partitioning
 
+from oracles import dijkstra as oracle
+from oracles.arcflag import reference_flags
+
 SEEDS = [3, 11, 29]
 
 
 @pytest.fixture(params=[True, False], ids=["accel", "pure"])
 def accel_mode(request, monkeypatch):
-    """Run each property in both kernel modes (scipy path and faithful loop)."""
+    """Run each property in both kernel modes (scipy path and faithful loop).
+
+    The pure mode hides scipy from the kernel, which is exactly what an
+    install without scipy looks like to it.
+    """
     if request.param and not kernel.HAVE_ACCELERATOR:
         pytest.skip("accelerator not installed")
-    monkeypatch.setattr(kernel, "USE_ACCELERATOR", request.param)
+    monkeypatch.setattr(kernel, "HAVE_ACCELERATOR", request.param)
     return request.param
 
 
@@ -47,13 +55,6 @@ def make_network(seed: int, num_nodes: int = 90, num_edges: int = 230) -> RoadNe
     )
     network.clear_delta()
     return network
-
-
-def reference_copy(network: RoadNetwork) -> RoadNetwork:
-    """A snapshot-less copy: searches on it take the dict reference path."""
-    copy = network.copy()
-    assert copy.csr_snapshot() is None
-    return copy
 
 
 def assert_same_result(kernel_result, reference_result):
@@ -71,14 +72,13 @@ def assert_same_result(kernel_result, reference_result):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sssp_bit_identical_forward_and_reverse(seed, accel_mode):
     network = make_network(seed)
-    reference = reference_copy(network)
     network.ensure_csr()
     rng = random.Random(seed)
     for source in rng.sample(network.node_ids(), 12):
         for reverse in (False, True):
             assert_same_result(
                 dijkstra_distances(network, source, reverse=reverse),
-                dijkstra_distances(reference, source, reverse=reverse),
+                oracle.dijkstra_distances(network, source, reverse=reverse),
             )
 
 
@@ -86,7 +86,6 @@ def test_sssp_bit_identical_forward_and_reverse(seed, accel_mode):
 def test_point_to_point_bit_identical_including_frontier(seed, accel_mode):
     """Early termination leaves tentative frontier labels; they must match too."""
     network = make_network(seed)
-    reference = reference_copy(network)
     network.ensure_csr()
     rng = random.Random(seed + 1)
     ids = network.node_ids()
@@ -94,10 +93,10 @@ def test_point_to_point_bit_identical_including_frontier(seed, accel_mode):
         source, target = rng.choice(ids), rng.choice(ids)
         assert_same_result(
             dijkstra_search(network, source, target=target),
-            dijkstra_search(reference, source, target=target),
+            oracle.dijkstra_search(network, source, target=target),
         )
         got = shortest_path(network, source, target)
-        want = shortest_path(reference, source, target)
+        want = oracle.shortest_path(network, source, target)
         assert (got.distance, got.path, got.settled) == (
             want.distance,
             want.path,
@@ -108,7 +107,6 @@ def test_point_to_point_bit_identical_including_frontier(seed, accel_mode):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_multi_target_bit_identical(seed, accel_mode):
     network = make_network(seed)
-    reference = reference_copy(network)
     network.ensure_csr()
     rng = random.Random(seed + 2)
     ids = network.node_ids()
@@ -117,7 +115,7 @@ def test_multi_target_bit_identical(seed, accel_mode):
         targets = rng.sample(ids, size)
         assert_same_result(
             dijkstra_multi_target(network, source, targets),
-            dijkstra_multi_target(reference, source, targets),
+            oracle.dijkstra_multi_target(network, source, targets),
         )
 
 
@@ -125,7 +123,6 @@ def test_multi_target_bit_identical(seed, accel_mode):
 def test_combined_target_and_targets_bit_identical(seed, accel_mode):
     """`target` and `targets` together terminate exactly like the dict loop."""
     network = make_network(seed, num_nodes=60, num_edges=150)
-    reference = reference_copy(network)
     network.ensure_csr()
     rng = random.Random(seed + 7)
     ids = network.node_ids()
@@ -134,24 +131,23 @@ def test_combined_target_and_targets_bit_identical(seed, accel_mode):
         targets = set(rng.sample(ids, rng.randint(1, 5)))
         assert_same_result(
             dijkstra_search(network, source, target=target, targets=targets),
-            dijkstra_search(reference, source, target=target, targets=targets),
+            oracle.dijkstra_search(network, source, target=target, targets=targets),
         )
     # Unknown target alongside live targets: only the targets terminate.
     source = ids[0]
     assert_same_result(
         dijkstra_search(network, source, target=10**9, targets={ids[-1]}),
-        dijkstra_search(reference, source, target=10**9, targets={ids[-1]}),
+        oracle.dijkstra_search(network, source, target=10**9, targets={ids[-1]}),
     )
 
 
 def test_unknown_target_degenerates_to_full_sweep(accel_mode):
     network = make_network(7)
-    reference = reference_copy(network)
     network.ensure_csr()
     source = network.node_ids()[0]
     assert_same_result(
         dijkstra_search(network, source, target=10**9),
-        dijkstra_search(reference, source, target=10**9),
+        oracle.dijkstra_search(network, source, target=10**9),
     )
 
 
@@ -169,13 +165,12 @@ def test_zero_weight_edges_stay_exact(accel_mode):
             (4, 5, 1.0),
         ],
     )
-    reference = reference_copy(network)
     snapshot = network.ensure_csr()
     assert snapshot.has_nonpositive_weight
     for source in network.node_ids():
         assert_same_result(
             dijkstra_distances(network, source),
-            dijkstra_distances(reference, source),
+            oracle.dijkstra_distances(network, source),
         )
 
 
@@ -191,12 +186,11 @@ def test_parallel_edges_stay_exact(accel_mode):
             (2, 3, 1.0),
         ],
     )
-    reference = reference_copy(network)
     network.ensure_csr()
     for source in network.node_ids():
         assert_same_result(
             dijkstra_distances(network, source),
-            dijkstra_distances(reference, source),
+            oracle.dijkstra_distances(network, source),
         )
 
 
@@ -214,7 +208,7 @@ def test_masked_search_equals_subgraph_search(seed, accel_mode):
         inside = sorted(allowed)
         source, target = rng.choice(inside), rng.choice(inside)
         got = kernel.masked_shortest_path(network, source, target, allowed)
-        want = shortest_path(network.subgraph(allowed), source, target)
+        want = oracle.shortest_path(network.subgraph(allowed), source, target)
         assert (got.distance, got.path, got.settled) == (
             want.distance,
             want.path,
@@ -234,10 +228,22 @@ def test_masked_search_requires_endpoints_inside_the_mask():
         arena.point_to_point(ids[0], outside, allowed=allowed)
 
 
-def test_masked_search_returns_none_without_snapshot():
+def test_masked_search_compiles_missing_snapshot_once():
     network = make_network(6, num_nodes=20, num_edges=50)
     assert network.csr_snapshot() is None
-    assert kernel.masked_shortest_path(network, 0, 1, {0, 1}) is None
+    ids = network.node_ids()
+    allowed = set(ids[:12])
+    source, target = ids[0], ids[11]
+    got = kernel.masked_shortest_path(network, source, target, allowed)
+    assert network.csr_stats()["builds"] == 1
+    kernel.masked_shortest_path(network, target, source, allowed)
+    assert network.csr_stats()["builds"] == 1
+    want = oracle.shortest_path(network.subgraph(allowed), source, target)
+    assert (got.distance, got.path, got.settled) == (
+        want.distance,
+        want.path,
+        want.settled,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -261,15 +267,14 @@ def test_patched_snapshot_bit_identical_after_update_stream(seed, accel_mode):
                 continue
         stats = network.csr_stats()
         assert stats["builds"] == 1 and stats["fresh"] == 1
-        reference = reference_copy(network)
         for source in rng.sample(network.node_ids(), 6):
             assert_same_result(
                 dijkstra_distances(network, source),
-                dijkstra_distances(reference, source),
+                oracle.dijkstra_distances(network, source),
             )
             assert_same_result(
                 dijkstra_distances(network, source, reverse=True),
-                dijkstra_distances(reference, source, reverse=True),
+                oracle.dijkstra_distances(network, source, reverse=True),
             )
     assert network.csr_stats()["patches"] > 0
 
@@ -283,11 +288,24 @@ def test_structural_mutation_invalidates_and_rebuild_recovers():
     second = network.ensure_csr()
     assert second is not first
     assert second.num_edges == first.num_edges + 1
-    reference = reference_copy(network)
     assert_same_result(
-        dijkstra_distances(network, ids[0]), dijkstra_distances(reference, ids[0])
+        dijkstra_distances(network, ids[0]), oracle.dijkstra_distances(network, ids[0])
     )
     assert network.csr_stats()["builds"] == 2
+    # A plain query after another structural mutation compiles the missing
+    # snapshot on demand, exactly once, and answers like the oracle.
+    network.add_edge(ids[-1], ids[1], 0.5)
+    assert network.csr_snapshot() is None
+    got = shortest_path(network, ids[0], ids[1])
+    assert network.csr_stats()["builds"] == 3
+    want = oracle.shortest_path(network, ids[0], ids[1])
+    assert (got.distance, got.path, got.settled) == (
+        want.distance,
+        want.path,
+        want.settled,
+    )
+    shortest_path(network, ids[1], ids[0])
+    assert network.csr_stats()["builds"] == 3
 
 
 def test_noop_weight_update_does_not_patch():
@@ -361,13 +379,12 @@ def test_p2p_reconstruction_is_deferred_and_probe_is_exact(seed):
     reference's, tentative frontier values included.
     """
     network = make_network(seed)
-    reference = reference_copy(network)
     arena = kernel.arena_for(network.ensure_csr())
     rng = random.Random(seed + 5)
     ids = network.node_ids()
     for _ in range(10):
         source, target = rng.choice(ids), rng.choice(ids)
-        want = dijkstra_search(reference, source, target=target)
+        want = oracle.dijkstra_search(network, source, target=target)
         got = arena.point_to_point(source, target)
         if got._finish is None:
             continue  # tiny searches may construct eagerly; nothing to defer
@@ -390,13 +407,12 @@ def test_p2p_probe_matches_reference_labels_without_materialization(accel_mode):
     if not accel_mode:
         pytest.skip("probe exists only on the accelerated path")
     network = make_network(17, num_nodes=70, num_edges=180)
-    reference = reference_copy(network)
     arena = kernel.arena_for(network.ensure_csr())
     rng = random.Random(99)
     ids = network.node_ids()
     for _ in range(8):
         source, target = rng.choice(ids), rng.choice(ids)
-        want = dijkstra_search(reference, source, target=target)
+        want = oracle.dijkstra_search(network, source, target=target)
         for probe_node in rng.sample(ids, 4) + [target]:
             # A fresh result per probe: settled nodes answer off the probe
             # tuple, frontier/unreached nodes fall back to the replay --
@@ -414,12 +430,11 @@ def test_arena_is_cached_per_thread_and_snapshot():
 def test_distance_only_sweep_matches_reference(accel_mode):
     """The lean distance-only loop: same labels and settled count, no tree."""
     network = make_network(15, num_nodes=50, num_edges=130)
-    reference = reference_copy(network)
     arena = kernel.arena_for(network.ensure_csr())
     for source in network.node_ids()[:6]:
         for reverse in (False, True):
             sweep = arena.sssp(source, need_predecessors=False, reverse=reverse)
-            want = dijkstra_distances(reference, source, reverse=reverse)
+            want = oracle.dijkstra_distances(network, source, reverse=reverse)
             assert sweep.distances_dict() == want.distances
             assert sweep.settled == want.settled
             assert sweep.pred is None and sweep.order is None
@@ -427,19 +442,17 @@ def test_distance_only_sweep_matches_reference(accel_mode):
 
 def test_network_level_convenience_functions(accel_mode):
     network = make_network(16, num_nodes=40, num_edges=100)
-    reference = reference_copy(network)
     source, target = network.node_ids()[0], network.node_ids()[-1]
     assert (
         kernel.sssp(network, source).distances_dict()
-        == dijkstra_distances(reference, source).distances
+        == oracle.dijkstra_distances(network, source).distances
     )
     assert kernel.point_to_point(network, source, target).distance_to(
         target
-    ) == shortest_path(reference, source, target).distance
+    ) == oracle.shortest_path(network, source, target).distance
     single = kernel.many_to_many(network, [source], need_predecessors=True)
     assert len(single) == 1
-    assert single[0].predecessors_dict() == dijkstra_distances(
-        reference, source
+    assert single[0].predecessors_dict() == oracle.dijkstra_distances(network, source
     ).predecessors
     with pytest.raises(KeyError):
         kernel.arena_for(network.ensure_csr()).point_to_point(source, 10**9)
@@ -470,22 +483,16 @@ def test_path_to_guards_against_broken_chains():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_arcflag_vectorized_equals_reference_flags(seed):
-    if not kernel.HAVE_ACCELERATOR:
-        pytest.skip("accelerator not installed")
     network = make_network(seed, num_nodes=60, num_edges=150)
     partitioning = build_kdtree_partitioning(network, 4)
     vectorized = ArcFlagIndex(network, partitioning)
-    reference = ArcFlagIndex.__new__(ArcFlagIndex)
-    reference.network = network
-    reference.partitioning = partitioning
-    reference.num_regions = partitioning.num_regions
-    reference._build_reference()
-    assert vectorized.flags == reference.flags
-    assert list(vectorized.flags) == list(reference.flags)
+    reference = reference_flags(network, partitioning)
+    assert vectorized.flags == reference
+    assert list(vectorized.flags) == list(reference)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_border_precomputation_identical_across_kernel_modes(seed):
+def test_border_precomputation_identical_across_kernel_modes(seed, monkeypatch):
     if not kernel.HAVE_ACCELERATOR:
         pytest.skip("accelerator not installed")
     from repro.air.border_paths import BorderPathPrecomputation
@@ -493,11 +500,9 @@ def test_border_precomputation_identical_across_kernel_modes(seed):
     network = make_network(seed, num_nodes=60, num_edges=150)
     partitioning = build_kdtree_partitioning(network, 4)
     accel = BorderPathPrecomputation(network, partitioning)
-    kernel.USE_ACCELERATOR = False
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "HAVE_ACCELERATOR", False)
         pure = BorderPathPrecomputation(network, partitioning)
-    finally:
-        kernel.USE_ACCELERATOR = True
     assert accel.min_distance == pure.min_distance
     assert accel.max_distance == pure.max_distance
     assert accel.cross_border_nodes == pure.cross_border_nodes
@@ -552,7 +557,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(accel_mode, seed):
     assert kernel.arena_for(network.ensure_csr()) is arena_before
     assert_same_result(
         dijkstra_distances(network, source),
-        dijkstra_distances(reference_copy(network), source),
+        oracle.dijkstra_distances(network, source),
     )
 
     # Structural mutation supersedes the snapshot: the network entry points
@@ -565,7 +570,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(accel_mode, seed):
     assert arena_after is not arena_before
     assert_same_result(
         dijkstra_distances(network, source),
-        dijkstra_distances(reference_copy(network), source),
+        oracle.dijkstra_distances(network, source),
     )
 
     # The stale arena still answers for the dead snapshot it is pinned to

@@ -2,7 +2,7 @@
 
 :func:`repro.broadcast.replay_bulk.replay_trace_bulk` promises to produce,
 for every device position, exactly the tuning time and access latency the
-scalar reference :func:`repro.broadcast.replay.replay_trace` would.  These
+scalar per-device oracle :func:`oracles.replay.replay_trace` would.  These
 properties check that promise where it matters:
 
 * real traces from all seven registered schemes over random networks,
@@ -12,9 +12,10 @@ properties check that promise where it matters:
 * synthetic corner traces -- no segment ops at all (a pure head), a single
   segment op, and segment anchors shared between ops (the rotation
   tie-break);
-* whole-fleet equivalence: :func:`repro.fleet.simulate_fleet` with the bulk
-  kernel on vs. forced off yields identical signatures, aggregates, and
-  materialized outcomes;
+* whole-fleet equivalence: every replayed device of a
+  :func:`repro.fleet.simulate_fleet` run (bulk kernel on) matches a scalar
+  oracle replay of its probe's trace (bulk kernel off), and the run's
+  vectorized aggregates match scalar aggregates over its outcomes;
 * error parity: the bulk kernel rejects lossy traces and stale cycles with
   the same messages as the scalar path.
 """
@@ -24,20 +25,16 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro import air
-from repro.broadcast import replay_bulk
+from repro.air import ClientOptions
+from repro.air.base import is_mismatch
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.device import CHANNEL_2MBPS, J2ME_CLAMSHELL
 from repro.broadcast.packet import Segment, SegmentKind
-from repro.broadcast.replay import (
-    OpKind,
-    RecordingSession,
-    SessionTrace,
-    TraceOp,
-    replay_trace,
-)
+from repro.broadcast.replay import OpKind, RecordingSession, SessionTrace, TraceOp
 from repro.broadcast.replay_bulk import (
     CycleLayout,
     TraceTable,
@@ -45,10 +42,10 @@ from repro.broadcast.replay_bulk import (
 )
 from repro.experiments import fleet_uniform_trickle
 from repro.fleet import simulate_fleet
+from repro.stats import percentile
 
+from oracles.replay import replay_trace
 from test_properties_fleet import SMALL_PARAMS, random_network
-
-np = pytest.importorskip("numpy")
 
 SEEDS = [5, 23]
 
@@ -253,8 +250,15 @@ def test_cycle_layout_vectorizes_next_segment_named():
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SMALL_PARAMS))
-def test_fleet_run_identical_with_bulk_kernel_on_and_off(scheme_name, monkeypatch):
-    """Whole-fleet equivalence: signatures, aggregates and outcomes match."""
+def test_fleet_run_identical_with_bulk_kernel_on_and_off(scheme_name):
+    """Whole-fleet equivalence of the bulk replay ("on") and the scalar oracle ("off").
+
+    Every replayed device must report what a scalar oracle replay of its
+    probe's trace at its tune-in offset reports, and carry its probe's
+    distance, found flag, mismatch, memory and ``metrics.extra``; the run's
+    vectorized aggregates must equal scalar aggregates over the
+    materialized outcomes.
+    """
     seed = SEEDS[0]
     network = random_network(seed)
     scheme = air.create(scheme_name, network, **SMALL_PARAMS[scheme_name])
@@ -265,44 +269,51 @@ def test_fleet_run_identical_with_bulk_kernel_on_and_off(scheme_name, monkeypatc
     for index, spec in enumerate(lossy):
         devices.append(dataclasses.replace(spec, device_id=base_id + index))
 
-    bulk_run = simulate_fleet(scheme, devices, seed=seed)
-    monkeypatch.setattr(replay_bulk, "USE_BULK_REPLAY", False)
-    scalar_run = simulate_fleet(scheme, devices, seed=seed)
+    run = simulate_fleet(scheme, devices, seed=seed)
+    cycle = scheme.cycle
+    client = scheme.client(options=ClientOptions())
+    # The simulator probes each lossless query at its first device in device
+    # order; record the same probe sessions, then replay them per device.
+    probes = {}
+    for outcome in run.outcomes:
+        if outcome.mode != "replay":
+            continue
+        spec = outcome.spec
+        key = (spec.source, spec.target)
+        if key not in probes:
+            session = RecordingSession(cycle, outcome.tune_in_offset)
+            result = client.query(spec.source, spec.target, session=session)
+            probes[key] = (session.trace(), result)
+        trace, probe = probes[key]
+        scalar = replay_trace(trace, cycle, outcome.tune_in_offset)
+        assert outcome.metrics.tuning_time_packets == scalar.tuning_packets
+        assert outcome.metrics.access_latency_packets == scalar.access_latency_packets
+        assert outcome.metrics.lost_packets == 0
+        assert outcome.distance == probe.distance
+        assert outcome.found == probe.found
+        assert outcome.mismatch == is_mismatch(probe.distance, spec.true_distance)
+        assert outcome.metrics.peak_memory_bytes == probe.metrics.peak_memory_bytes
+        assert outcome.metrics.extra == probe.metrics.extra
+    assert run.probes == len(probes)
+    assert run.replays == sum(o.mode == "replay" for o in run.outcomes) == 14
+    assert run.natives == 2
+    assert run.mismatches == sum(o.mismatch for o in run.outcomes)
 
-    assert bulk_run.signature() == scalar_run.signature()
-    assert bulk_run.probes == scalar_run.probes
-    assert bulk_run.replays == scalar_run.replays
-    assert bulk_run.natives == scalar_run.natives
-    assert bulk_run.mismatches == scalar_run.mismatches
-    for quantile in (0, 25, 50, 90, 99, 100):
-        assert bulk_run.percentile("access_latency_packets", quantile) == (
-            scalar_run.percentile("access_latency_packets", quantile)
+    for metric in ("access_latency_packets", "tuning_time_packets"):
+        values = [float(getattr(o.metrics, metric)) for o in run.outcomes]
+        for quantile in (0, 25, 50, 90, 99, 100):
+            assert run.percentile(metric, quantile) == percentile(values, quantile)
+    for metric in ("peak_memory_bytes", "access_latency_packets"):
+        assert run.mean(metric) == pytest.approx(
+            sum(getattr(o.metrics, metric) for o in run.outcomes) / run.num_devices
         )
-        assert bulk_run.percentile("tuning_time_packets", quantile) == (
-            scalar_run.percentile("tuning_time_packets", quantile)
-        )
-    assert bulk_run.mean("peak_memory_bytes") == scalar_run.mean("peak_memory_bytes")
-    assert bulk_run.mean("access_latency_packets") == (
-        scalar_run.mean("access_latency_packets")
+    assert run.mean_energy_joules() == pytest.approx(
+        sum(o.metrics.energy_joules(J2ME_CLAMSHELL, CHANNEL_2MBPS) for o in run.outcomes)
+        / run.num_devices
     )
-    # cpu_seconds (and hence energy) is wall-clock measured at the probe, so
-    # it is not comparable across runs; the vectorized aggregates are checked
-    # against the per-outcome scalar computation within each run instead.
-    for run in (bulk_run, scalar_run):
-        assert run.mean_energy_joules() == pytest.approx(
-            sum(
-                o.metrics.energy_joules(J2ME_CLAMSHELL, CHANNEL_2MBPS)
-                for o in run.outcomes
-            )
-            / run.num_devices
-        )
-        assert run.mean("cpu_seconds") == pytest.approx(
-            sum(o.metrics.cpu_seconds for o in run.outcomes) / run.num_devices
-        )
-    for ours, theirs in zip(bulk_run.outcomes, scalar_run.outcomes):
-        assert ours.deterministic_fields() == theirs.deterministic_fields()
-        assert ours.mode == theirs.mode
-        assert ours.metrics.extra == theirs.metrics.extra
+    assert run.mean("cpu_seconds") == pytest.approx(
+        sum(o.metrics.cpu_seconds for o in run.outcomes) / run.num_devices
+    )
 
 
 def test_cycle_layout_exposes_segment_anchors():

@@ -79,7 +79,9 @@ def main(argv=None) -> int:
     from repro.network.algorithms import kernel
 
     if args.no_accelerator:
-        kernel.USE_ACCELERATOR = False
+        # Hide scipy from the kernel: it then runs exactly as it does on an
+        # install without scipy.
+        kernel.HAVE_ACCELERATOR = False
     phases = {phase.strip() for phase in args.phases.split(",") if phase.strip()}
     unknown = phases - {"build", "query", "refresh"}
     if unknown:
