@@ -11,8 +11,7 @@ framework of Kellaris & Mouratidis, including:
   (NR) -- plus broadcast adaptations of the classical methods, all
   self-registered in a pluggable scheme registry (:mod:`repro.air.registry`),
 * an engine facade (:class:`repro.engine.AirSystem`) that caches built
-  broadcast cycles and runs batched, optionally concurrent workloads,
-* the Euclidean spatial air indexes of Appendix A (HCI, DSI, BGI), and
+  broadcast cycles and runs batched, optionally concurrent workloads, and
 * an experiment harness reproducing every table and figure of the paper.
 
 Quickstart -- one scheme, one query::
@@ -51,7 +50,6 @@ from repro import (
     network,
     partitioning,
     serialize,
-    spatial,
     store,
 )
 from repro.engine import AirSystem, ArtifactStore, ClientOptions
@@ -73,6 +71,5 @@ __all__ = [
     "network",
     "partitioning",
     "serialize",
-    "spatial",
     "store",
 ]

@@ -191,14 +191,15 @@ class AirIndexScheme(abc.ABC):
         refreshed over the mutated network -- waits to be swapped in.  The
         shadow must satisfy the same bit-identity contract as an in-place
         incremental rebuild; returns ``None`` when the delta cannot be
-        applied incrementally (the caller then builds from scratch).
+        applied incrementally (the caller then builds from scratch) -- at
+        once, before cloning anything, for a structural delta or a foreign
+        network.
 
-        The default clones this scheme through an artifact-state round trip
-        (so the shadow shares no mutable pre-computation state with the
-        serving instance) and runs the ordinary :meth:`incremental_rebuild`
-        on the clone.  Schemes whose state is dominated by per-unit records
-        (NR/EB's border sources) override this with structural sharing.
+        The shadow is a :meth:`_shadow_clone` refreshed by the ordinary
+        :meth:`incremental_rebuild`.
         """
+        if network is not self.network or delta.structural:
+            return None
         clone = self._shadow_clone()
         if clone.incremental_rebuild(network, delta):
             return clone
@@ -212,7 +213,9 @@ class AirIndexScheme(abc.ABC):
         cycle is shared as-is (immutable by contract -- every incremental
         path constructs a *new* cycle object rather than mutating segments
         in place), so the clone's ``incremental_rebuild`` can reuse
-        untouched segments exactly as the in-place path would.
+        untouched segments exactly as the in-place path would.  Schemes
+        whose state is dominated by per-unit records (NR/EB's border
+        sources) override this with structural sharing.
         """
         clone = object.__new__(type(self))
         AirIndexScheme.__init__(clone, self.network, self.layout)

@@ -182,8 +182,8 @@ class EllipticBoundaryScheme(AirIndexScheme):
             self._cycle = self.build_cycle()
         return self._track_refresh(started)
 
-    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["EllipticBoundaryScheme"]:
-        """Refresh into a structurally shared shadow instead of in place.
+    def _shadow_clone(self) -> "EllipticBoundaryScheme":
+        """A structurally shared clone for :meth:`shadow_rebuild`.
 
         Same sharing strategy as NR's override: the clone shares the kd
         partitioning and all untouched border-source records with the
@@ -191,13 +191,9 @@ class EllipticBoundaryScheme(AirIndexScheme):
         serving instance's index array ``A`` and region splits stay frozen
         at their pre-delta values until the engine swaps the shadow in.
         """
-        if network is not self.network or delta.structural:
-            return None
         clone = copy_module.copy(self)
         clone.precomputation = self.precomputation.shadow()
-        if clone.incremental_rebuild(network, delta):
-            return clone
-        return None
+        return clone
 
     def _index_copy(self, copy: int) -> List[Segment]:
         return [

@@ -238,8 +238,8 @@ class NextRegionScheme(AirIndexScheme):
             self._cycle = BroadcastCycle(segments, name="NR-cycle")
         return self._track_refresh(started)
 
-    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["NextRegionScheme"]:
-        """Refresh into a structurally shared shadow instead of in place.
+    def _shadow_clone(self) -> "NextRegionScheme":
+        """A structurally shared clone for :meth:`shadow_rebuild`.
 
         The clone shares the partitioning and every untouched border-source
         record with the serving instance (both immutable by contract) through
@@ -248,14 +248,10 @@ class NextRegionScheme(AirIndexScheme):
         instance keeps answering from its pre-delta aggregates until the
         engine swaps the shadow in.
         """
-        if network is not self.network or delta.structural:
-            return None
         clone = copy.copy(self)
         clone.precomputation = self.precomputation.shadow()
         clone._needed_cache = {}
-        if clone.incremental_rebuild(network, delta):
-            return clone
-        return None
+        return clone
 
     # ------------------------------------------------------------------
     # Client

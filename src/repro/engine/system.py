@@ -27,7 +27,9 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+)
 
 from repro.air import registry
 from repro.air.base import AirIndexScheme, ClientOptions, QueryResult, is_mismatch
@@ -160,6 +162,20 @@ class CacheInfo:
         counted separately (:attr:`incremental_rebuilds`).
         """
         return self.misses - self.disk_restores + self.full_rebuilds
+
+
+class _RefreshPlan(NamedTuple):
+    """What one refresh moves from and to, read before anything rebuilds."""
+
+    parent: str
+    current: str
+    delta: Any
+    started: float
+
+    @property
+    def unchanged(self) -> bool:
+        """Nothing to refresh: same fingerprint and no pending changes."""
+        return self.current == self.parent and self.delta.empty
 
 
 def _as_query(item: Any) -> Tuple[int, int, Optional[float]]:
@@ -582,11 +598,12 @@ class AirSystem:
         Reads the network's pending delta and, for each entry built for the
         superseded structure, routes through the scheme's
         :meth:`~repro.air.base.AirIndexScheme.incremental_rebuild` (weight
-        deltas on schemes that support it) or a full reconstruction, then
-        re-keys the entry under the new fingerprint and records the
-        fingerprint lineage (:meth:`lineage`).  Channels built for any
-        superseded fingerprint are dropped: after an in-place refresh their
-        cycle objects no longer match the scheme's.
+        deltas on schemes that support it) or a full reconstruction -- also
+        the fallback when an incremental step raises -- then re-keys the
+        entry under the new fingerprint and records the fingerprint lineage
+        (:meth:`lineage`).  Channels built for any superseded fingerprint
+        are dropped: after an in-place refresh their cycle objects no longer
+        match the scheme's.
 
         In-place mutations *without* a refresh stay safe -- the fingerprint
         miss forces a full rebuild on the next ``scheme()`` call -- but pay
@@ -603,70 +620,11 @@ class AirSystem:
         :class:`AirSystem` has not consumed.
         """
         self._check_no_async_refresh()
-        started = time.perf_counter()
-        delta = self.network.pending_delta()
-        parent = self._clean_fingerprint
-        current = self.network.fingerprint()
-        if current == parent and delta.empty:
-            return RefreshReport(
-                parent_fingerprint=parent,
-                fingerprint=current,
-                structural=False,
-                num_changes=0,
-                num_dirty_nodes=0,
-                seconds=time.perf_counter() - started,
-            )
-
-        incremental: List[str] = []
-        rebuilt: List[str] = []
-        dropped: List[str] = []
-        artifacts_stored = 0
-        # The incremental path is only sound when the delta fully explains
-        # the fingerprint transition.  A moved fingerprint with *no* recorded
-        # changes means the tracking was cleared externally -- fall back to
-        # full rebuilds rather than re-keying stale state as fresh.
-        trust_delta = not delta.structural and bool(delta.changes)
-        for key in [key for key in self._schemes if key[2] == parent and parent != current]:
-            name, params_items, _ = key
-            scheme = self._schemes.pop(key)
-            new_key = (name, params_items, current)
-            if new_key in self._schemes:
-                # Already rebuilt from scratch after the mutation (a query
-                # arrived before this refresh); keep that entry.
-                dropped.append(name)
-                continue
-            if trust_delta and scheme.incremental_rebuild(self.network, delta):
-                incremental.append(name)
-                self._incremental_rebuilds += 1
-            else:
-                scheme = registry.create(name, self.network, **dict(params_items))
-                scheme.cycle  # build the refreshed broadcast cycle now
-                rebuilt.append(name)
-                self._full_rebuilds += 1
-            self._schemes[new_key] = scheme
-            # The refreshed state belongs to the new fingerprint; the old
-            # fingerprint's stored artifact is now superseded (see
-            # prune_cache) and must never be served for this network.
-            if self._publish_to_store(scheme):
-                artifacts_stored += 1
-        for key in [key for key in self._channels if key[2] != current]:
-            del self._channels[key]
-
-        if current != parent:
-            self._lineage[current] = parent
-        self._clean_fingerprint = current
-        self.network.clear_delta()
-        return RefreshReport(
-            parent_fingerprint=parent,
-            fingerprint=current,
-            structural=delta.structural,
-            num_changes=len(delta.changes),
-            num_dirty_nodes=len(delta.dirty_nodes),
-            incremental=tuple(incremental),
-            rebuilt=tuple(rebuilt),
-            dropped=tuple(dropped),
-            seconds=time.perf_counter() - started,
-            artifacts_stored=artifacts_stored,
+        return self._refresh(
+            self._refresh_plan(),
+            lambda scheme, delta: (
+                scheme if scheme.incremental_rebuild(self.network, delta) else None
+            ),
         )
 
     def refresh_async(self) -> AsyncRefresh:
@@ -692,118 +650,152 @@ class AirSystem:
         exactly when ``handle.done`` turns true.
         """
         self._check_no_async_refresh()
-        started = time.perf_counter()
-        delta = self.network.pending_delta()
-        parent = self._clean_fingerprint
-        current = self.network.fingerprint()
-        if current == parent and delta.empty:
-            return AsyncRefresh.completed(
-                RefreshReport(
-                    parent_fingerprint=parent,
-                    fingerprint=current,
-                    structural=False,
-                    num_changes=0,
-                    num_dirty_nodes=0,
-                    seconds=time.perf_counter() - started,
-                )
-            )
-        if current != parent:
-            self._refresh_alias[current] = parent
+        plan = self._refresh_plan()
+
+        def shadow(scheme: AirIndexScheme, delta: Any) -> Optional[AirIndexScheme]:
+            return scheme.shadow_rebuild(self.network, delta)
+
+        if plan.unchanged:
+            return AsyncRefresh.completed(self._refresh(plan, shadow))
+        if plan.current != plan.parent:
+            self._refresh_alias[plan.current] = plan.parent
+
+        def work() -> RefreshReport:
+            try:
+                # Chaos hook: a plan targeting ``engine.refresh.fail`` aborts
+                # the rebuild here, before any shadow exists -- the exact
+                # failure the serving daemon's degraded mode must absorb.  On
+                # this (or any) failure the network delta stays uncleared, so
+                # the next refresh rebuilds from the *cumulative* updates.
+                faults.fail_if("engine.refresh.fail")
+                return self._refresh(plan, shadow)
+            finally:
+                self._refresh_alias.pop(plan.current, None)
+
         handle = AsyncRefresh()
         self._async_refresh = handle
-        return handle._start(
-            lambda: self._refresh_shadow(parent, current, delta, started)
+        return handle._start(work)
+
+    def _refresh_plan(self) -> _RefreshPlan:
+        """Snapshot what a refresh starts from, before anything is rebuilt."""
+        started = time.perf_counter()
+        return _RefreshPlan(
+            parent=self._clean_fingerprint,
+            current=self.network.fingerprint(),
+            delta=self.network.pending_delta(),
+            started=started,
         )
 
-    def _refresh_shadow(
-        self, parent: str, current: str, delta: Any, started: float
+    def _refresh(
+        self,
+        plan: _RefreshPlan,
+        rebuild: Callable[[AirIndexScheme, Any], Optional[AirIndexScheme]],
     ) -> RefreshReport:
-        """Worker body of :meth:`refresh_async`: build shadows, swap once."""
-        try:
-            # Chaos hook: a plan targeting ``engine.refresh.fail`` aborts the
-            # rebuild here, before any shadow exists -- the exact failure the
-            # serving daemon's degraded mode must absorb.  On this (or any)
-            # failure the network delta stays uncleared, so the next refresh
-            # rebuilds from the *cumulative* updates.
-            faults.fail_if("engine.refresh.fail")
-            incremental: List[str] = []
-            rebuilt: List[str] = []
-            dropped: List[str] = []
-            trust_delta = not delta.structural and bool(delta.changes)
-            with self._swap_lock:
-                entries = [
-                    (key, self._schemes[key])
-                    for key in self._schemes
-                    if key[2] == parent and parent != current
-                ]
+        """The refresh routine behind :meth:`refresh` and :meth:`refresh_async`.
 
-            replacements: List[Tuple[Tuple, Tuple, AirIndexScheme, bool]] = []
-            for key, scheme in entries:
-                name, params_items, _ = key
-                replacement: Optional[AirIndexScheme] = None
-                if trust_delta:
-                    try:
-                        replacement = scheme.shadow_rebuild(self.network, delta)
-                    except Exception:
-                        # A failed shadow refresh must not take serving down:
-                        # fall back to the from-scratch build below.
-                        replacement = None
-                was_incremental = replacement is not None
-                if replacement is None:
-                    replacement = registry.create(
-                        name, self.network, **dict(params_items)
-                    )
-                    replacement.cycle  # build the refreshed cycle off-line
-                replacements.append(
-                    (key, (name, params_items, current), replacement, was_incremental)
-                )
-
-            with self._swap_lock:
-                for old_key, new_key, replacement, was_incremental in replacements:
-                    self._schemes.pop(old_key, None)
-                    if new_key in self._schemes:
-                        # A build landed under the new key while we were
-                        # refreshing (alias hits never insert there, but a
-                        # scheme with no pre-delta entry builds from scratch
-                        # directly under the new fingerprint).  Keep it.
-                        dropped.append(old_key[0])
-                        continue
-                    self._schemes[new_key] = replacement
-                    if was_incremental:
-                        incremental.append(old_key[0])
-                        self._incremental_rebuilds += 1
-                    else:
-                        rebuilt.append(old_key[0])
-                        self._full_rebuilds += 1
-                for key in [key for key in self._channels if key[2] != current]:
-                    del self._channels[key]
-                if current != parent:
-                    self._lineage[current] = parent
-                self._clean_fingerprint = current
-                self.network.clear_delta()
-
-            # Store publication is slow I/O: do it after the swap, outside
-            # the lock, only for replacements that actually serve.
-            artifacts_stored = 0
-            for _, new_key, replacement, _ in replacements:
-                if self._schemes.get(new_key) is replacement:
-                    if self._publish_to_store(replacement):
-                        artifacts_stored += 1
-
+        ``rebuild(scheme, delta)`` returns the incrementally refreshed
+        scheme -- ``scheme`` itself when it refreshes in place, a shadow
+        copy otherwise -- or ``None`` when the delta cannot be applied
+        incrementally.  A ``None`` or a raising rebuild falls back to a
+        from-scratch build, so a failed incremental step never takes serving
+        down.  The replacements swap in under one lock acquisition, and are
+        published to the store after it.
+        """
+        parent, current, delta = plan.parent, plan.current, plan.delta
+        if plan.unchanged:
             return RefreshReport(
                 parent_fingerprint=parent,
                 fingerprint=current,
-                structural=delta.structural,
-                num_changes=len(delta.changes),
-                num_dirty_nodes=len(delta.dirty_nodes),
-                incremental=tuple(incremental),
-                rebuilt=tuple(rebuilt),
-                dropped=tuple(dropped),
-                seconds=time.perf_counter() - started,
-                artifacts_stored=artifacts_stored,
+                structural=False,
+                num_changes=0,
+                num_dirty_nodes=0,
+                seconds=time.perf_counter() - plan.started,
             )
-        finally:
-            self._refresh_alias.pop(current, None)
+        # The incremental path is only sound when the delta fully explains
+        # the fingerprint transition.  A moved fingerprint with *no* recorded
+        # changes means the tracking was cleared externally -- fall back to
+        # full rebuilds rather than re-keying stale state as fresh.
+        trust_delta = not delta.structural and bool(delta.changes)
+        with self._swap_lock:
+            entries = [
+                (key, self._schemes[key])
+                for key in self._schemes
+                if key[2] == parent and parent != current
+            ]
+
+        replacements: List[Tuple[Tuple, Tuple, Optional[AirIndexScheme], bool]] = []
+        for key, scheme in entries:
+            name, params_items, _ = key
+            new_key = (name, params_items, current)
+            if new_key in self._schemes:
+                # Already rebuilt from scratch after the mutation (a query
+                # arrived before this refresh); the swap keeps that entry.
+                replacements.append((key, new_key, None, False))
+                continue
+            replacement: Optional[AirIndexScheme] = None
+            if trust_delta:
+                try:
+                    replacement = rebuild(scheme, delta)
+                except Exception:
+                    # A failed incremental refresh must not take serving
+                    # down: fall back to the from-scratch build below.
+                    replacement = None
+            was_incremental = replacement is not None
+            if replacement is None:
+                replacement = registry.create(name, self.network, **dict(params_items))
+                replacement.cycle  # build the refreshed broadcast cycle now
+            replacements.append((key, new_key, replacement, was_incremental))
+
+        incremental: List[str] = []
+        rebuilt: List[str] = []
+        dropped: List[str] = []
+        with self._swap_lock:
+            for old_key, new_key, replacement, was_incremental in replacements:
+                self._schemes.pop(old_key, None)
+                if replacement is None or new_key in self._schemes:
+                    # A build landed under the new key first -- before this
+                    # refresh, or during an async one (alias hits never
+                    # insert there, but a scheme with no pre-delta entry
+                    # builds from scratch directly under the new
+                    # fingerprint).  Keep it.
+                    dropped.append(old_key[0])
+                    continue
+                self._schemes[new_key] = replacement
+                if was_incremental:
+                    incremental.append(old_key[0])
+                    self._incremental_rebuilds += 1
+                else:
+                    rebuilt.append(old_key[0])
+                    self._full_rebuilds += 1
+            for key in [key for key in self._channels if key[2] != current]:
+                del self._channels[key]
+            if current != parent:
+                self._lineage[current] = parent
+            self._clean_fingerprint = current
+            self.network.clear_delta()
+
+        # The refreshed state belongs to the new fingerprint; the old
+        # fingerprint's stored artifact is now superseded (see prune_cache).
+        # Store publication is slow I/O: do it after the swap, outside the
+        # lock, only for replacements that actually serve.
+        artifacts_stored = 0
+        for _, new_key, replacement, _ in replacements:
+            if replacement is not None and self._schemes.get(new_key) is replacement:
+                if self._publish_to_store(replacement):
+                    artifacts_stored += 1
+
+        return RefreshReport(
+            parent_fingerprint=parent,
+            fingerprint=current,
+            structural=delta.structural,
+            num_changes=len(delta.changes),
+            num_dirty_nodes=len(delta.dirty_nodes),
+            incremental=tuple(incremental),
+            rebuilt=tuple(rebuilt),
+            dropped=tuple(dropped),
+            seconds=time.perf_counter() - plan.started,
+            artifacts_stored=artifacts_stored,
+        )
 
     def lineage(self, fingerprint: Optional[str] = None) -> List[str]:
         """The chain of superseded fingerprints, newest first.

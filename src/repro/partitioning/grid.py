@@ -3,9 +3,8 @@
 Section 4.1 discusses superimposing a regular grid of equi-sized cells over
 the network: the client can then map coordinates to regions knowing only the
 grid granularity and spatial extent.  The paper prefers kd-tree partitioning
-because grid cells can be badly unbalanced; we implement the grid both as a
-baseline for that design decision (ablation benchmarks) and because the BGI
-spatial air index (Appendix A) is built on it.
+because grid cells can be badly unbalanced; we implement the grid as a
+baseline for that design decision (ablation benchmarks).
 """
 
 from __future__ import annotations
@@ -51,16 +50,6 @@ class GridPartitioner:
         col = min(max(col, 0), self.cols - 1)
         row = min(max(row, 0), self.rows - 1)
         return row * self.cols + col
-
-    def cell_bounds(self, region: int) -> Tuple[float, float, float, float]:
-        """Bounding box ``(min_x, min_y, max_x, max_y)`` of cell ``region``."""
-        if not 0 <= region < self.num_regions:
-            raise IndexError(f"region {region} out of range")
-        row, col = divmod(region, self.cols)
-        min_x, min_y, _, _ = self.bounds
-        x0 = min_x + col * self._cell_width
-        y0 = min_y + row * self._cell_height
-        return (x0, y0, x0 + self._cell_width, y0 + self._cell_height)
 
 
 def build_grid_partitioning(network: RoadNetwork, rows: int, cols: int) -> Partitioning:

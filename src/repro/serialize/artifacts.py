@@ -22,6 +22,7 @@ network is a *mismatch* (refuse to restore).
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -115,6 +116,12 @@ class BuildArtifact:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize with magic, version, header, payload and checksum."""
+        buffer = io.BytesIO()
+        self.write_to(buffer)
+        return buffer.getvalue()
+
+    def _frame_prefix(self) -> bytes:
+        """Magic, format version, header length and the encoded header."""
         header = encode_value(
             {
                 "scheme": self.scheme,
@@ -123,34 +130,19 @@ class BuildArtifact:
                 "payload_bytes": len(self.payload),
             }
         )
-        body = (
-            ARTIFACT_MAGIC
-            + _PREFIX.pack(self.format_version, len(header))
-            + header
-            + self.payload
-        )
-        return body + hashlib.sha256(body).digest()
+        return ARTIFACT_MAGIC + _PREFIX.pack(self.format_version, len(header)) + header
 
     def write_to(self, handle, chunk_bytes: int = STREAM_CHUNK_BYTES) -> int:
         """Stream the framed encoding to a binary file object.
 
-        Byte-for-byte identical output to ``handle.write(self.to_bytes())``
-        but without ever concatenating the body: the payload moves in
-        ``chunk_bytes`` slices while the checksum accumulates incrementally,
-        so the extra memory is O(chunk) regardless of payload size (this is
-        what keeps store publishes of continental CSR states flat).  Returns
-        the number of bytes written.
+        The one encoder of the frame (:meth:`to_bytes` writes through it
+        into memory): the payload moves in ``chunk_bytes`` slices while the
+        checksum accumulates incrementally, so the extra memory is O(chunk)
+        regardless of payload size (this is what keeps store publishes of
+        continental CSR states flat).  Returns the number of bytes written.
         """
         digest = hashlib.sha256()
-        header = encode_value(
-            {
-                "scheme": self.scheme,
-                "params": dict(self.params),
-                "network_fingerprint": self.network_fingerprint,
-                "payload_bytes": len(self.payload),
-            }
-        )
-        prefix = ARTIFACT_MAGIC + _PREFIX.pack(self.format_version, len(header)) + header
+        prefix = self._frame_prefix()
         handle.write(prefix)
         digest.update(prefix)
         payload = memoryview(self.payload)

@@ -13,8 +13,6 @@ from repro.air.base import QueryResult
 from repro.broadcast.device import CHANNEL_2MBPS, MODERN_SMARTPHONE
 from repro.broadcast.metrics import ClientMetrics
 from repro.network.algorithms.dijkstra import shortest_path
-from repro.spatial.dsi import DistributedSpatialIndexScheme
-from repro.spatial.points import PointObject, bounding_box, generate_points
 
 
 class TestPackageSurface:
@@ -22,7 +20,7 @@ class TestPackageSurface:
         assert repro.__version__.count(".") == 2
 
     def test_top_level_exports(self):
-        for name in ("air", "broadcast", "network", "partitioning", "spatial", "experiments"):
+        for name in ("air", "broadcast", "network", "partitioning", "experiments"):
             assert hasattr(repro, name)
 
     def test_scheme_registry_covers_all_paper_methods(self):
@@ -73,29 +71,6 @@ class TestEBRowMajorPackingVariant:
         square_needed = len(square.needed_index_packets(0, 15))
         row_needed = len(row_major.needed_index_packets(0, 15))
         assert square_needed <= row_needed
-
-
-class TestSpatialHelpers:
-    def test_bounding_box(self):
-        points = [PointObject(0, 1.0, 2.0), PointObject(1, -3.0, 7.0)]
-        assert bounding_box(points) == (-3.0, 2.0, 1.0, 7.0)
-
-    def test_bounding_box_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
-
-    def test_point_distance(self):
-        assert PointObject(0, 0.0, 0.0).distance_to(3.0, 4.0) == pytest.approx(5.0)
-
-    def test_dsi_pointer_targets_are_exponential(self):
-        scheme = DistributedSpatialIndexScheme(generate_points(64, seed=1), num_frames=16)
-        targets = scheme.pointer_targets(0)
-        assert targets == [1, 2, 4, 8]
-
-    def test_dsi_pointer_targets_wrap(self):
-        scheme = DistributedSpatialIndexScheme(generate_points(64, seed=1), num_frames=16)
-        targets = scheme.pointer_targets(15)
-        assert targets == [0, 1, 3, 7]
 
 
 class TestDatasetSeeds:

@@ -22,16 +22,6 @@ class TestGridPartitioner:
         assert grid.locate(-5, -5) == 0
         assert grid.locate(50, 50) == 3
 
-    def test_cell_bounds_partition_the_extent(self):
-        grid = GridPartitioner((0, 0, 10, 20), rows=2, cols=2)
-        assert grid.cell_bounds(0) == (0, 0, 5, 10)
-        assert grid.cell_bounds(3) == (5, 10, 10, 20)
-
-    def test_cell_bounds_out_of_range(self):
-        grid = GridPartitioner((0, 0, 10, 10), rows=2, cols=2)
-        with pytest.raises(IndexError):
-            grid.cell_bounds(4)
-
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):
             GridPartitioner((0, 0, 1, 1), rows=0, cols=2)

@@ -11,7 +11,6 @@ from repro.broadcast.cycle import BroadcastCycle
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import KDTreePartitioner
-from repro.spatial.hilbert import hilbert_index, hilbert_point
 
 from oracles import dijkstra as oracle
 
@@ -170,12 +169,3 @@ class TestPackingProperties:
         packet = packing.packet_of(row, col)
         assert 0 <= packet < packing.num_packets
 
-
-class TestHilbertProperties:
-    @given(st.integers(min_value=1, max_value=7), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, order, data):
-        side = 1 << order
-        x = data.draw(st.integers(min_value=0, max_value=side - 1))
-        y = data.draw(st.integers(min_value=0, max_value=side - 1))
-        assert hilbert_point(order, hilbert_index(order, x, y)) == (x, y)

@@ -293,32 +293,97 @@ def test_raise_then_lower_same_edge_in_one_batch(seed):
     assert_answers_match_dijkstra(system.scheme("NR", **params), network, rng)
 
 
+REPORT_FIELDS = (
+    "incremental",
+    "rebuilt",
+    "dropped",
+    "num_changes",
+    "num_dirty_nodes",
+    "structural",
+)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_refresh_async_swap_equals_blocking_refresh(seed):
-    """``refresh_async`` lands exactly the state a blocking refresh would."""
-    network = random_network(seed)
-    network.clear_delta()
-    system = AirSystem(network)
-    for name in ("NR", "EB"):
-        system.scheme(name, **SMALL_PARAMS[name])
+    """``refresh_async`` lands exactly the state a blocking refresh would.
+
+    Twin systems over twin networks take the same update batches, one
+    through ``refresh()`` and one through ``refresh_async().wait()``, with
+    every registered scheme cached: the reports and every refreshed cycle
+    must agree, and both must equal a from-scratch build.
+    """
+    names = sorted(SMALL_PARAMS)
+    blocking_network, async_network = random_network(seed), random_network(seed)
+    systems = []
+    for network in (blocking_network, async_network):
+        network.clear_delta()
+        system = AirSystem(network)
+        for name in names:
+            system.scheme(name, **SMALL_PARAMS[name])
+        systems.append(system)
+    blocking, double_buffered = systems
     rng = random.Random(seed + 29)
+    incremental = {air.canonical_name(name) for name in names} & INCREMENTAL_SCHEMES
 
     for _ in range(2):
-        network.apply_updates(random_update_batch(network, rng))
-        handle = system.refresh_async()
+        batch = random_update_batch(blocking_network, rng)
+        blocking_network.apply_updates(batch)
+        async_network.apply_updates(batch)
+        blocking_report = blocking.refresh()
+        handle = double_buffered.refresh_async()
         report = handle.wait(60.0)
         assert handle.done
-        assert set(report.incremental) == {"NR", "EB"}
-        assert report.rebuilt == ()
-        for name in ("NR", "EB"):
-            refreshed = system.scheme(name, **SMALL_PARAMS[name])
-            scratch = air.create(name, network, **SMALL_PARAMS[name])
+        for field in REPORT_FIELDS:
+            assert getattr(report, field) == getattr(blocking_report, field), field
+        assert set(report.incremental) == incremental
+        assert len(report.rebuilt) == len(names) - len(incremental)
+        for name in names:
+            params = SMALL_PARAMS[name]
+            refreshed = double_buffered.scheme(name, **params)
+            scratch = air.create(name, async_network, **params)
             assert refreshed.cycle.signature() == scratch.cycle.signature()
+            assert (
+                blocking.scheme(name, **params).cycle.signature()
+                == refreshed.cycle.signature()
+            )
         assert_answers_match_dijkstra(
-            system.scheme("NR", **SMALL_PARAMS["NR"]), network, rng
+            double_buffered.scheme("NR", **SMALL_PARAMS["NR"]), async_network, rng
         )
 
     # A no-op refresh_async returns an already-completed handle.
-    handle = system.refresh_async()
+    handle = double_buffered.refresh_async()
     assert handle.done
     assert handle.wait(0.0).num_changes == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("scheme_name", sorted(INCREMENTAL_SCHEMES))
+def test_blocking_refresh_falls_back_to_scratch_when_incremental_raises(
+    scheme_name, seed, monkeypatch
+):
+    """A raising ``incremental_rebuild`` costs a scratch build, not the entry.
+
+    The blocking refresh takes the same fallback as ``refresh_async``: the
+    scheme is reported rebuilt, answers exactly, and the delta is consumed.
+    """
+    network = random_network(seed)
+    network.clear_delta()
+    params = SMALL_PARAMS[scheme_name]
+    system = AirSystem(network)
+    scheme_type = type(system.scheme(scheme_name, **params))
+    rng = random.Random(seed + 43)
+
+    def failing_rebuild(self, network, delta):
+        raise RuntimeError("incremental step failed")
+
+    monkeypatch.setattr(scheme_type, "incremental_rebuild", failing_rebuild)
+    network.apply_updates(random_update_batch(network, rng))
+    report = system.refresh()
+    assert report.rebuilt == (scheme_name,)
+    assert report.incremental == () and report.dropped == ()
+    assert network.pending_delta().empty
+    refreshed = system.scheme(scheme_name, **params)
+    assert refreshed.cycle.signature() == air.create(
+        scheme_name, network, **params
+    ).cycle.signature()
+    assert_answers_match_dijkstra(refreshed, network, rng)
